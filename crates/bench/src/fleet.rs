@@ -404,10 +404,11 @@ pub fn run_fleet(
             let dt = start.elapsed().as_secs_f64().max(1e-9);
             let cs = cx.cache.stats();
             eprintln!(
-                "fleet: {n_done}/{} homes ({:.1} homes/s) cache {}h/{}m journal {} replayed, {} retried, {} quarantined",
+                "fleet: {n_done}/{} homes ({:.1} homes/s) cache {}h/{}d/{}m journal {} replayed, {} retried, {} quarantined",
                 total,
                 n_done as f64 / dt,
                 cs.hits - cache_before.hits,
+                cs.disk_hits - cache_before.disk_hits,
                 cs.misses - cache_before.misses,
                 replayed.load(Ordering::Relaxed),
                 retried.load(Ordering::Relaxed),

@@ -122,30 +122,34 @@ fn damaged_records_are_discarded_and_resume_is_byte_identical() {
 fn resume_is_byte_identical_across_thread_counts() {
     let id = "fleet-threads-test";
     let reference = reference_table(id);
-    let dir = journal_dir("threads");
     let sig = config_signature(&cfg(), &params());
 
-    // Populate the journal on 7 threads...
-    {
+    // Populate the journal on 2 threads (one spare slot, the benchmark's
+    // `--threads 2` shape) and on 7 threads...
+    for extra in [1, 6] {
+        let dir = journal_dir(&format!("threads{extra}"));
+        {
+            let cache = FixtureCache::new();
+            let cx = ctx(id, &cache, extra);
+            let journal = Journal::open(&dir, sig).unwrap();
+            let (table, _) = run_fleet(&cx, &cfg(), Some(&journal));
+            assert_eq!(
+                table.render(),
+                reference,
+                "parallel fresh run must match serial, extra={extra}"
+            );
+            assert_eq!(cx.pool.available(), extra, "slots returned, extra={extra}");
+        }
+        // ...and replay it serially: same bytes, zero recomputation.
         let cache = FixtureCache::new();
-        let cx = ctx(id, &cache, 6);
+        let cx = ctx(id, &cache, 0);
         let journal = Journal::open(&dir, sig).unwrap();
-        let (table, _) = run_fleet(&cx, &cfg(), Some(&journal));
-        assert_eq!(
-            table.render(),
-            reference,
-            "parallel fresh run must match serial"
-        );
+        let (table, out) = run_fleet(&cx, &cfg(), Some(&journal));
+        assert_eq!(out.journal_hits, N_HOUSES as u64, "extra={extra}");
+        assert_eq!(out.computed, 0, "extra={extra}");
+        assert_eq!(table.render(), reference, "extra={extra}");
+        std::fs::remove_dir_all(&dir).ok();
     }
-    // ...and replay it serially: same bytes, zero recomputation.
-    let cache = FixtureCache::new();
-    let cx = ctx(id, &cache, 0);
-    let journal = Journal::open(&dir, sig).unwrap();
-    let (table, out) = run_fleet(&cx, &cfg(), Some(&journal));
-    assert_eq!(out.journal_hits, N_HOUSES as u64);
-    assert_eq!(out.computed, 0);
-    assert_eq!(table.render(), reference);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -96,13 +96,11 @@ impl WorkPool {
     /// identity, and the output is byte-identical for every budget size —
     /// including zero, where the call degenerates to a serial map.
     ///
-    /// A grant of exactly one helper slot is returned unused and the map
-    /// runs inline: on an oversubscribed or single-CPU host the spawn +
-    /// per-item synchronization of a lone helper costs more than the
-    /// second lane buys (the `strategies` exhibit measured *slower*
-    /// parallel than serial on the 1-CPU container), and the
-    /// `inline_and_pooled_par_map_byte_identical` test pins that both
-    /// paths produce identical output, so the cutover is free.
+    /// Any grant of one or more helpers fans out, so a lone spare slot
+    /// (a single scenario at `--threads 2`) is put to work; the map runs
+    /// inline only when the budget lends nothing. A host that cannot use
+    /// a second lane never lends one: its default thread count leaves a
+    /// zero-slot budget.
     ///
     /// # Fault isolation
     ///
@@ -119,11 +117,8 @@ impl WorkPool {
         F: Fn(usize, &T) -> R + Sync,
     {
         let n = items.len();
-        let helpers = if n > 2 { self.acquire_up_to(n - 1) } else { 0 };
-        if helpers == 1 {
-            self.release(1);
-        }
-        if helpers <= 1 {
+        let helpers = if n > 1 { self.acquire_up_to(n - 1) } else { 0 };
+        if helpers == 0 {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
         let guard = SlotGuard {
@@ -269,31 +264,40 @@ mod tests {
     }
 
     #[test]
-    fn single_slot_grant_runs_inline_and_returns_the_slot() {
+    fn single_slot_grant_fans_out_and_returns_the_slot() {
+        // Two items, one spare slot: each item waits at a rendezvous
+        // until both have arrived, which only happens if the caller and
+        // the helper run them at once. The spin is bounded so an inline
+        // run fails the assertion instead of hanging.
         let pool = WorkPool::new(1);
-        let items: Vec<usize> = (0..16).collect();
-        let main_thread = std::thread::current().id();
-        let got = pool.par_map(&items, |_, &x| {
-            // The lone helper slot must be declined: every item runs on
-            // the calling thread.
-            assert_eq!(std::thread::current().id(), main_thread);
-            x + 1
+        let items = [0usize, 1];
+        let arrived = AtomicUsize::new(0);
+        let got = pool.par_map(&items, |_, _| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            let mut met = arrived.load(Ordering::SeqCst) == 2;
+            while !met && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+                met = arrived.load(Ordering::SeqCst) == 2;
+            }
+            (std::thread::current().id(), met)
         });
-        assert_eq!(got, (1..=16).collect::<Vec<_>>());
-        assert_eq!(pool.available(), 1, "declined slot must be returned");
+        assert!(got.iter().all(|&(_, met)| met), "items never ran together");
+        assert_ne!(got[0].0, got[1].0, "items must run on two threads");
+        assert_eq!(pool.available(), 1, "borrowed slot must be returned");
     }
 
     #[test]
     fn inline_and_pooled_par_map_byte_identical() {
         // The same work item set must produce identical results whether
-        // the map runs inline (0 or 1 slot) or across real helpers.
+        // the map runs inline (0 slots) or across real helpers.
         let items: Vec<usize> = (0..64).collect();
         let run = |extra: usize| {
             let pool = WorkPool::new(extra);
             pool.par_map(&items, |i, &x| format!("{i}:{}", x * 31))
         };
         let inline = run(0);
-        assert_eq!(inline, run(1), "single-slot (inline) path diverged");
+        assert_eq!(inline, run(1), "single-slot pooled path diverged");
         assert_eq!(inline, run(3), "pooled path diverged");
         assert_eq!(inline, run(16), "wide pooled path diverged");
     }

@@ -2,9 +2,7 @@
 //! re-exported here for continuity, plus small labeling helpers and the
 //! engine↔core memo adapter.
 
-pub use shatter_engine::{
-    write_csv, FixtureCache, HouseFixture, Table, HOUSE_A_SEED, HOUSE_B_SEED,
-};
+pub use shatter_engine::{write_csv, FixtureCache, HouseFixture, Table};
 
 use shatter_core::{WindowMemo, WindowSolution};
 use shatter_dataset::HouseSpec;

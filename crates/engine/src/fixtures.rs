@@ -1,24 +1,27 @@
 //! Shared evaluation fixtures and the memoizing [`FixtureCache`].
 //!
 //! Dataset synthesis, episode extraction and ADM training dominate the
-//! cost of every exhibit; the cache keys them by `(HouseSpec signature,
-//! days, seed)` and `(dataset key, AdmKind, train_days)` respectively so
-//! a full-suite run pays each once. All entries are `Arc`-shared and the
+//! cost of every exhibit; the cache keys each result by a string that
+//! embeds the house spec's [`HouseSpec::cache_tag`], `days`, `seed` and
+//! (for ADMs) the [`AdmKind`] parameters and `train_days`, so a
+//! full-suite run pays each once. All entries are `Arc`-shared and the
 //! cache is internally locked, so scenarios on parallel runner threads
 //! share one cache safely. Any [`HouseSpec`] — the ARAS presets or a
 //! generated scaled home — caches the same way; nothing here enumerates
 //! houses.
 
-//! A [`BlobStore`] disk tier can sit underneath the whole cache
+//! Every entry goes through one tiered path: RAM hit → disk hit →
+//! compute. A [`BlobStore`] disk tier can sit underneath the whole cache
 //! ([`FixtureCache::with_disk`]): misses serialize and persist what
 //! they computed, and a warm second run deserializes datasets, episode
 //! sets, trained ADMs and memoized intermediates instead of recomputing
 //! them — with byte-identical results, because every payload travels
-//! through the exact (bit-pattern) wire codec. Independently, a RAM
-//! budget ([`FixtureCache::with_memory_budget`]) bounds resident bytes
-//! with deterministic insertion-order eviction; evicted entries
-//! refault through the disk tier (or recompute), so eviction moves
-//! counters and wall-clock only, never results.
+//! through the exact (bit-pattern) wire codec. The RAM key of an entry
+//! *is* its disk key. Independently, a RAM budget
+//! ([`FixtureCache::with_memory_budget`]) bounds resident bytes with
+//! deterministic insertion-order eviction; evicted entries refault
+//! through the disk tier (or recompute), so eviction moves counters and
+//! wall-clock only, never results.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -44,17 +47,6 @@ pub fn disk_schema_sig() -> u64 {
     shatter_store::fnv::fnv1a_str(DISK_SCHEMA)
 }
 
-/// Seed of the canonical House-A month (same value as
-/// [`shatter_dataset::spec::ARAS_A_SEED`]).
-pub const HOUSE_A_SEED: u64 = shatter_dataset::spec::ARAS_A_SEED;
-/// Seed of the canonical House-B month.
-pub const HOUSE_B_SEED: u64 = shatter_dataset::spec::ARAS_B_SEED;
-
-/// Canonical dataset seed of a house spec.
-pub fn canonical_seed(spec: &HouseSpec) -> u64 {
-    spec.canonical_seed
-}
-
 /// The canonical evaluation fixture for one house.
 pub struct HouseFixture {
     /// House identity of this fixture.
@@ -75,20 +67,25 @@ impl HouseFixture {
     /// Builds the fixture for a house with the canonical seed, outside
     /// any cache (each call re-synthesizes).
     pub fn new(spec: &HouseSpec, days: usize) -> HouseFixture {
-        HouseFixture::with_seed(spec, days, canonical_seed(spec))
+        HouseFixture::with_seed(spec, days, spec.canonical_seed)
     }
 
     /// Builds the fixture with an explicit dataset seed.
     pub fn with_seed(spec: &HouseSpec, days: usize, seed: u64) -> HouseFixture {
-        let home = spec.home.build();
-        let month = Arc::new(synthesize(&SynthConfig::new(spec.clone(), days, seed)));
+        let month = synthesize(&SynthConfig::new(spec.clone(), days, seed));
+        HouseFixture::from_month(spec, days, seed, spec.home.build(), month)
+    }
+
+    /// Assembles a fixture around an already synthesized (or decoded)
+    /// month; the home and energy model are cheap and deterministic.
+    fn from_month(spec: &HouseSpec, days: usize, seed: u64, home: Home, month: Dataset) -> Self {
         let model = EnergyModel::standard(home.clone());
         HouseFixture {
             spec: spec.clone(),
             days,
             seed,
             home,
-            month,
+            month: Arc::new(month),
             model,
         }
     }
@@ -104,53 +101,13 @@ impl HouseFixture {
     /// reward-table / benign-cost memo key embeds it, so two specs
     /// sharing `days` and `seed` can never alias a cache entry.
     pub fn cache_key(&self) -> String {
-        format!("{}/{}/{}", self.spec.cache_tag(), self.days, self.seed)
+        dataset_key(&self.spec, self.days, self.seed)
     }
 }
 
-/// Key of one synthesized dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct DatasetKey {
-    /// [`HouseSpec::signature`] of the house.
-    sig: u64,
-    days: usize,
-    seed: u64,
-}
-
-impl DatasetKey {
-    fn new(spec: &HouseSpec, days: usize, seed: u64) -> DatasetKey {
-        DatasetKey {
-            sig: spec.signature(),
-            days,
-            seed,
-        }
-    }
-}
-
-/// Hashable encoding of an [`AdmKind`] (f64 params by bit pattern).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct AdmKey {
-    tag: u8,
-    a: u64,
-    b: u64,
-    c: u64,
-}
-
-fn adm_key(kind: &AdmKind) -> AdmKey {
-    match kind {
-        AdmKind::Dbscan(p) => AdmKey {
-            tag: 0,
-            a: p.eps.to_bits(),
-            b: p.min_pts as u64,
-            c: 0,
-        },
-        AdmKind::KMeans(p) => AdmKey {
-            tag: 1,
-            a: p.k as u64,
-            b: p.max_iter as u64,
-            c: p.seed,
-        },
-    }
+/// `"{cache_tag}/{days}/{seed}"`: the dataset part of every cache key.
+fn dataset_key(spec: &HouseSpec, days: usize, seed: u64) -> String {
+    format!("{}/{}/{}", spec.cache_tag(), days, seed)
 }
 
 /// Hit/miss counters of a [`FixtureCache`].
@@ -179,23 +136,24 @@ impl CacheStats {
     }
 }
 
-/// Memoizes dataset synthesis, fixture construction, episode extraction,
-/// ADM training, and arbitrary keyed intermediates (via [`memo`]) across
-/// scenarios.
+type Shard = Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>;
+
+/// Memoizes fixture construction (dataset synthesis), episode
+/// extraction, ADM training, and arbitrary keyed intermediates (via
+/// [`FixtureCache::memo_blob`]) across scenarios.
+///
+/// Every entry lives in one map keyed by its disk key (e.g.
+/// `"fixture/{cache_tag}/{days}/{seed}"`), and every lookup takes the
+/// same RAM → disk → compute path.
 ///
 /// A cache built with [`FixtureCache::disabled`] never stores or serves
 /// entries — every request recomputes, reproducing the pre-engine
 /// harness's cost model (used as the "serial uncached" baseline leg).
-///
-/// [`memo`]: FixtureCache::memo
 pub struct FixtureCache {
-    fixtures: Mutex<HashMap<DatasetKey, Arc<HouseFixture>>>,
-    episodes: Mutex<HashMap<DatasetKey, Arc<Vec<Episode>>>>,
-    adms: Mutex<HashMap<(DatasetKey, AdmKey, usize), Arc<HullAdm>>>,
-    // The memo map carries the per-day schedule and SMT-window traffic
-    // of every parallel scenario worker, so it is sharded by key hash to
+    // The map carries the per-day schedule and SMT-window traffic of
+    // every parallel scenario worker, so it is sharded by key hash to
     // keep lock contention off the hot path.
-    memos: [Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>; MEMO_SHARDS],
+    shards: [Shard; SHARDS],
     disabled: bool,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -207,54 +165,33 @@ pub struct FixtureCache {
     budget_bytes: Option<u64>,
     resident_bytes: AtomicU64,
     evictions: AtomicU64,
-    /// Insertion-ordered eviction ledger over every budget-charged
-    /// entry. Lock ordering: ledger before any map lock, never the
-    /// reverse.
-    ledger: Mutex<VecDeque<LedgerEntry>>,
+    /// Insertion-ordered eviction ledger of `(key, bytes)` over every
+    /// budget-charged entry. Lock ordering: ledger before any shard
+    /// lock, never the reverse.
+    ledger: Mutex<VecDeque<(String, u64)>>,
 }
 
-/// Number of lock shards backing [`FixtureCache::memo`].
-const MEMO_SHARDS: usize = 16;
+/// Number of lock shards backing the [`FixtureCache`] map.
+const SHARDS: usize = 16;
 
-/// Identifies one budget-charged cache entry for eviction.
-#[derive(Debug, Clone)]
-enum Resident {
-    Fixture(DatasetKey),
-    Episodes(DatasetKey),
-    Adm(DatasetKey, AdmKey, usize),
-    Memo(String),
-}
-
-#[derive(Debug)]
-struct LedgerEntry {
-    handle: Resident,
-    bytes: u64,
-}
-
-/// Locks a cache map, panicking with the lookup context on poisoning.
+/// Locks a cache shard or the ledger, panicking with the lookup context
+/// on poisoning.
 ///
-/// Only pure `HashMap` operations run under cache locks (all expensive
-/// computation happens outside them), so a poisoned lock indicates a
-/// panic inside the map machinery itself. If that ever happens, the
-/// panic names the map and the cache key involved, and the runner's
+/// Only pure `HashMap`/`VecDeque` operations run under cache locks (all
+/// expensive computation happens outside them), so a poisoned lock
+/// indicates a panic inside the map machinery itself. If that ever
+/// happens, the panic names the cache key involved, and the runner's
 /// fault isolation turns it into a per-scenario `Failed` report instead
 /// of tearing down the suite.
-fn lock_map<'a, T>(
-    lock: &'a Mutex<T>,
-    map: &str,
-    key: &dyn std::fmt::Debug,
-) -> std::sync::MutexGuard<'a, T> {
+fn lock<'a, T>(lock: &'a Mutex<T>, key: &str) -> std::sync::MutexGuard<'a, T> {
     lock.lock()
-        .unwrap_or_else(|_| panic!("{map} cache lock poisoned at key {key:?}"))
+        .unwrap_or_else(|_| panic!("cache lock poisoned at key {key:?}"))
 }
 
 impl Default for FixtureCache {
     fn default() -> FixtureCache {
         FixtureCache {
-            fixtures: Mutex::default(),
-            episodes: Mutex::default(),
-            adms: Mutex::default(),
-            memos: std::array::from_fn(|_| Mutex::default()),
+            shards: std::array::from_fn(|_| Mutex::default()),
             disabled: false,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -284,11 +221,6 @@ impl FixtureCache {
         }
     }
 
-    /// Whether this cache is in the never-memoize mode.
-    pub fn is_disabled(&self) -> bool {
-        self.disabled
-    }
-
     /// Attaches a disk tier: misses persist what they computed, and
     /// refaults (cold-start or post-eviction) deserialize from disk
     /// instead of recomputing.
@@ -310,235 +242,126 @@ impl FixtureCache {
         self.disk.as_ref()
     }
 
-    fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn disk_hit(&self) {
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Whether inserts must serialize their value (for the disk tier,
-    /// the budget's size accounting, or both).
-    fn wants_blob_bytes(&self) -> bool {
-        self.disk.is_some() || self.budget_bytes.is_some()
+    /// The lock shard responsible for a key (FNV-1a of the key).
+    fn shard(&self, key: &str) -> &Shard {
+        &self.shards[(crate::scenario::fnv1a(key) as usize) % SHARDS]
     }
 
     /// Charges a freshly inserted entry against the RAM budget and
     /// evicts from the front of the ledger until the budget holds.
-    /// Call *without* holding any map lock (the eviction loop takes
+    /// Call *without* holding any shard lock (the eviction loop takes
     /// them). No-op when no budget is configured.
-    fn charge(&self, handle: Resident, bytes: u64) {
+    fn charge(&self, key: &str, bytes: u64) {
         let Some(budget) = self.budget_bytes else {
             return;
         };
-        let mut ledger = lock_map(&self.ledger, "ledger", &"push");
+        let mut ledger = lock(&self.ledger, key);
         self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
-        ledger.push_back(LedgerEntry { handle, bytes });
+        ledger.push_back((key.to_string(), bytes));
         while self.resident_bytes.load(Ordering::Relaxed) > budget {
-            let Some(oldest) = ledger.pop_front() else {
+            let Some((oldest, bytes)) = ledger.pop_front() else {
                 break;
             };
-            match &oldest.handle {
-                Resident::Fixture(k) => {
-                    lock_map(&self.fixtures, "fixture", k).remove(k);
-                }
-                Resident::Episodes(k) => {
-                    lock_map(&self.episodes, "episode", k).remove(k);
-                }
-                Resident::Adm(d, a, t) => {
-                    let k = (*d, *a, *t);
-                    lock_map(&self.adms, "adm", &k).remove(&k);
-                }
-                Resident::Memo(key) => {
-                    lock_map(self.memo_shard(key), "memo", key).remove(key);
-                }
-            }
-            self.resident_bytes
-                .fetch_sub(oldest.bytes, Ordering::Relaxed);
+            lock(self.shard(&oldest), &oldest).remove(&oldest);
+            self.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Memoizes an arbitrary shared intermediate under a caller-chosen
-    /// key. The key must capture *all* inputs of `compute` — scenarios
-    /// build keys on [`HouseFixture::cache_key`], which embeds the house
-    /// spec signature, days and seed (e.g.
-    /// `"sched/{fixture key}/{adm}/{strategy}/{cap:x}/{day}"` for attack
-    /// schedules). On a type mismatch for an existing key the value is
-    /// recomputed and replaced.
-    pub fn memo<T, F>(&self, key: &str, compute: F) -> Arc<T>
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce() -> T,
-    {
-        let shard = self.memo_shard(key);
-        if !self.disabled {
-            if let Some(v) = lock_map(shard, "memo", &key).get(key) {
-                if let Ok(t) = Arc::clone(v).downcast::<T>() {
-                    self.hit();
-                    return t;
-                }
+    /// The one lookup path behind every public accessor: RAM hit →
+    /// disk hit (`decode` the stored blob) → `compute` (then `encode`
+    /// once, persist, and charge the serialized size). `key` is both
+    /// the RAM key and the blob's durable content address, so it must
+    /// capture *all* inputs of `compute`. A blob that `decode` rejects
+    /// is discarded by the store and recomputed. On a type mismatch
+    /// for an existing RAM key the value is recomputed and replaced.
+    fn tiered<T: Send + Sync + 'static>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+        compute: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        if self.disabled {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return Arc::new(compute());
+        }
+        let shard = self.shard(key);
+        if let Some(v) = lock(shard, key).get(key) {
+            if let Ok(t) = Arc::clone(v).downcast::<T>() {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return t;
             }
         }
-        self.miss();
-        let t = Arc::new(compute());
-        if !self.disabled {
-            lock_map(shard, "memo", &key).insert(
+        let (t, bytes) = match self.disk.as_ref().and_then(|d| d.get_decoded(key, decode)) {
+            Some((t, bytes)) => {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                (Arc::new(t), bytes as u64)
+            }
+            // Compute outside any lock: other keys stay available while
+            // this one is built, and a racing duplicate insert is benign
+            // (identical content, last writer wins).
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let t = Arc::new(compute());
+                let mut bytes = 0;
+                if self.disk.is_some() || self.budget_bytes.is_some() {
+                    let blob = encode(&t);
+                    bytes = blob.len() as u64;
+                    if let Some(disk) = &self.disk {
+                        disk.put(key, &blob).ok();
+                    }
+                }
+                (t, bytes)
+            }
+        };
+        let fresh = lock(shard, key)
+            .insert(
                 key.to_string(),
                 Arc::clone(&t) as Arc<dyn Any + Send + Sync>,
-            );
+            )
+            .is_none();
+        if fresh {
+            self.charge(key, bytes);
         }
         t
     }
 
-    /// Like [`FixtureCache::memo`] for [`Blob`]-serializable values:
-    /// additionally backed by the disk tier (when attached) and
-    /// charged against the RAM budget (when configured). The key
-    /// contract is identical — and doubly load-bearing here, because
-    /// the key is also the blob's durable content address across runs.
+    /// Memoizes a [`Blob`]-serializable intermediate under a
+    /// caller-chosen key, backed by the disk tier (when attached) and
+    /// charged against the RAM budget (when configured). The key must
+    /// capture *all* inputs of `compute` — it is also the blob's
+    /// durable content address across runs. Scenarios build keys on
+    /// [`HouseFixture::cache_key`], which embeds the house spec
+    /// signature, days and seed (e.g.
+    /// `"sched/{fixture key}/{adm}/{strategy}/{cap:x}/{day}"` for attack
+    /// schedules).
     pub fn memo_blob<T, F>(&self, key: &str, compute: F) -> Arc<T>
     where
         T: Blob + Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        let shard = self.memo_shard(key);
-        if !self.disabled {
-            if let Some(v) = lock_map(shard, "memo", &key).get(key) {
-                if let Ok(t) = Arc::clone(v).downcast::<T>() {
-                    self.hit();
-                    return t;
-                }
-            }
-            if let Some(disk) = &self.disk {
-                if let Some((t, bytes)) = disk.get_blob_sized::<T>(key) {
-                    self.disk_hit();
-                    let t = Arc::new(t);
-                    if lock_map(shard, "memo", &key)
-                        .insert(
-                            key.to_string(),
-                            Arc::clone(&t) as Arc<dyn Any + Send + Sync>,
-                        )
-                        .is_none()
-                    {
-                        self.charge(Resident::Memo(key.to_string()), bytes as u64);
-                    }
-                    return t;
-                }
-            }
-        }
-        self.miss();
-        let t = Arc::new(compute());
-        if !self.disabled {
-            let mut bytes = 0u64;
-            if self.wants_blob_bytes() {
-                let blob = t.to_blob();
-                bytes = blob.len() as u64;
-                if let Some(disk) = &self.disk {
-                    disk.put(key, &blob).ok();
-                }
-            }
-            if lock_map(shard, "memo", &key)
-                .insert(
-                    key.to_string(),
-                    Arc::clone(&t) as Arc<dyn Any + Send + Sync>,
-                )
-                .is_none()
-            {
-                self.charge(Resident::Memo(key.to_string()), bytes);
-            }
-        }
-        t
+        self.tiered(key, T::from_blob, T::to_blob, compute)
     }
 
-    /// The lock shard responsible for a memo key (FNV-1a of the key).
-    fn memo_shard(&self, key: &str) -> &Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>> {
-        &self.memos[(crate::scenario::fnv1a(key) as usize) % MEMO_SHARDS]
-    }
-
-    /// The canonical fixture for `(spec, days)` (canonical seed).
-    pub fn fixture(&self, spec: &HouseSpec, days: usize) -> Arc<HouseFixture> {
-        self.fixture_with_seed(spec, days, canonical_seed(spec))
-    }
-
-    /// The fixture for `(spec, days, seed)`.
+    /// The fixture for `(spec, days, seed)`. Only the month is
+    /// persisted; a disk hit rebuilds the home and model around it.
     pub fn fixture_with_seed(&self, spec: &HouseSpec, days: usize, seed: u64) -> Arc<HouseFixture> {
-        let key = DatasetKey::new(spec, days, seed);
-        if !self.disabled {
-            if let Some(fx) = lock_map(&self.fixtures, "fixture", &key).get(&key) {
-                self.hit();
-                return Arc::clone(fx);
-            }
-        }
-        // Disk tier: a persisted month deserializes bit-exactly; only
-        // the home/model (cheap, deterministic) are rebuilt.
-        let disk_key = format!("fixture/{}/{}/{}", spec.cache_tag(), days, seed);
-        if !self.disabled {
-            if let Some(disk) = &self.disk {
-                if let Some((month, bytes)) = disk.get_blob_sized::<Dataset>(&disk_key) {
-                    let home = spec.home.build();
-                    // The blob checksum guards bytes, not meaning: a
-                    // month that does not match its own key's shape is
-                    // damage and must not be trusted.
-                    if month.days.len() == days && month.n_occupants == home.occupants().len() {
-                        self.disk_hit();
-                        let model = EnergyModel::standard(home.clone());
-                        let fx = Arc::new(HouseFixture {
-                            spec: spec.clone(),
-                            days,
-                            seed,
-                            home,
-                            month: Arc::new(month),
-                            model,
-                        });
-                        if lock_map(&self.fixtures, "fixture", &key)
-                            .insert(key, Arc::clone(&fx))
-                            .is_none()
-                        {
-                            self.charge(Resident::Fixture(key), bytes as u64);
-                        }
-                        return fx;
-                    }
-                    disk.discard(&disk_key);
-                }
-            }
-        }
-        // Synthesize outside the lock: other keys stay available while
-        // this month is built, and a racing duplicate insert is benign
-        // (identical content, last writer wins).
-        self.miss();
-        let fx = Arc::new(HouseFixture::with_seed(spec, days, seed));
-        if !self.disabled {
-            let mut bytes = 0u64;
-            if self.wants_blob_bytes() {
-                let blob = fx.month.to_blob();
-                bytes = blob.len() as u64;
-                if let Some(disk) = &self.disk {
-                    disk.put(&disk_key, &blob).ok();
-                }
-            }
-            if lock_map(&self.fixtures, "fixture", &key)
-                .insert(key, Arc::clone(&fx))
-                .is_none()
-            {
-                self.charge(Resident::Fixture(key), bytes);
-            }
-        }
-        fx
-    }
-
-    /// The dataset behind the canonical fixture.
-    pub fn dataset(&self, spec: &HouseSpec, days: usize) -> Arc<Dataset> {
-        Arc::clone(&self.fixture(spec, days).month)
-    }
-
-    /// Extracted episodes of the canonical `(spec, days)` dataset.
-    pub fn episodes(&self, spec: &HouseSpec, days: usize) -> Arc<Vec<Episode>> {
-        self.episodes_with_seed(spec, days, canonical_seed(spec))
+        let decode = |bytes: &[u8]| {
+            let month = Dataset::from_blob(bytes)?;
+            let home = spec.home.build();
+            // The blob checksum guards bytes, not meaning: a month that
+            // does not match its own key's shape is damage and must not
+            // be trusted.
+            (month.days.len() == days && month.n_occupants == home.occupants().len())
+                .then(|| HouseFixture::from_month(spec, days, seed, home, month))
+        };
+        self.tiered(
+            &format!("fixture/{}", dataset_key(spec, days, seed)),
+            decode,
+            |fx| fx.month.to_blob(),
+            || HouseFixture::with_seed(spec, days, seed),
+        )
     }
 
     /// Extracted episodes of the `(spec, days, seed)` dataset.
@@ -548,70 +371,18 @@ impl FixtureCache {
         days: usize,
         seed: u64,
     ) -> Arc<Vec<Episode>> {
-        let key = DatasetKey::new(spec, days, seed);
-        if !self.disabled {
-            if let Some(eps) = lock_map(&self.episodes, "episode", &key).get(&key) {
-                self.hit();
-                return Arc::clone(eps);
-            }
-        }
-        let disk_key = format!("episodes/{}/{}/{}", spec.cache_tag(), days, seed);
-        if !self.disabled {
-            if let Some(disk) = &self.disk {
-                if let Some(raw) = disk.get(&disk_key) {
-                    match episodes_from_blob(&raw) {
-                        Some(eps) => {
-                            self.disk_hit();
-                            let eps = Arc::new(eps);
-                            if lock_map(&self.episodes, "episode", &key)
-                                .insert(key, Arc::clone(&eps))
-                                .is_none()
-                            {
-                                self.charge(Resident::Episodes(key), raw.len() as u64);
-                            }
-                            return eps;
-                        }
-                        None => disk.discard(&disk_key),
-                    }
-                }
-            }
-        }
-        self.miss();
-        let fx = self.fixture_with_seed(spec, days, seed);
-        let eps = Arc::new(extract_episodes(&fx.month));
-        if !self.disabled {
-            let mut bytes = 0u64;
-            if self.wants_blob_bytes() {
-                let blob = episodes_to_blob(&eps);
-                bytes = blob.len() as u64;
-                if let Some(disk) = &self.disk {
-                    disk.put(&disk_key, &blob).ok();
-                }
-            }
-            if lock_map(&self.episodes, "episode", &key)
-                .insert(key, Arc::clone(&eps))
-                .is_none()
-            {
-                self.charge(Resident::Episodes(key), bytes);
-            }
-        }
-        eps
+        self.tiered(
+            &format!("episodes/{}", dataset_key(spec, days, seed)),
+            episodes_from_blob,
+            |eps| episodes_to_blob(eps),
+            || extract_episodes(&self.fixture_with_seed(spec, days, seed).month),
+        )
     }
 
-    /// A trained ADM for the canonical `(spec, days)` dataset: `adm_kind`
+    /// A trained ADM for the `(spec, days, seed)` dataset: `adm_kind`
     /// trained on the first `train_days` days. Identical to
-    /// `HouseFixture::adm` but memoized.
-    pub fn adm(
-        &self,
-        spec: &HouseSpec,
-        days: usize,
-        adm_kind: AdmKind,
-        train_days: usize,
-    ) -> Arc<HullAdm> {
-        self.adm_with_seed(spec, days, canonical_seed(spec), adm_kind, train_days)
-    }
-
-    /// A trained ADM for the `(spec, days, seed)` dataset.
+    /// [`HouseFixture::adm`] but memoized. The key spells the kind's
+    /// parameters as bit patterns (f64 via `to_bits`).
     pub fn adm_with_seed(
         &self,
         spec: &HouseSpec,
@@ -620,60 +391,18 @@ impl FixtureCache {
         adm_kind: AdmKind,
         train_days: usize,
     ) -> Arc<HullAdm> {
-        let ak = adm_key(&adm_kind);
-        let key = (DatasetKey::new(spec, days, seed), ak, train_days);
-        if !self.disabled {
-            if let Some(adm) = lock_map(&self.adms, "adm", &key).get(&key) {
-                self.hit();
-                return Arc::clone(adm);
-            }
-        }
-        let disk_key = format!(
-            "adm/{}/{}/{}/k{}-{:016x}-{:016x}-{:016x}/{}",
-            spec.cache_tag(),
-            days,
-            seed,
-            ak.tag,
-            ak.a,
-            ak.b,
-            ak.c,
-            train_days
+        let (tag, a, b, c) = match &adm_kind {
+            AdmKind::Dbscan(p) => (0, p.eps.to_bits(), p.min_pts as u64, 0),
+            AdmKind::KMeans(p) => (1, p.k as u64, p.max_iter as u64, p.seed),
+        };
+        let key = format!(
+            "adm/{}/k{tag}-{a:016x}-{b:016x}-{c:016x}/{train_days}",
+            dataset_key(spec, days, seed)
         );
-        if !self.disabled {
-            if let Some(disk) = &self.disk {
-                if let Some((adm, bytes)) = disk.get_blob_sized::<HullAdm>(&disk_key) {
-                    self.disk_hit();
-                    let adm = Arc::new(adm);
-                    if lock_map(&self.adms, "adm", &key)
-                        .insert(key, Arc::clone(&adm))
-                        .is_none()
-                    {
-                        self.charge(Resident::Adm(key.0, key.1, key.2), bytes as u64);
-                    }
-                    return adm;
-                }
-            }
-        }
-        self.miss();
-        let fx = self.fixture_with_seed(spec, days, seed);
-        let adm = Arc::new(fx.adm(adm_kind, train_days));
-        if !self.disabled {
-            let mut bytes = 0u64;
-            if self.wants_blob_bytes() {
-                let blob = adm.to_blob();
-                bytes = blob.len() as u64;
-                if let Some(disk) = &self.disk {
-                    disk.put(&disk_key, &blob).ok();
-                }
-            }
-            if lock_map(&self.adms, "adm", &key)
-                .insert(key, Arc::clone(&adm))
-                .is_none()
-            {
-                self.charge(Resident::Adm(key.0, key.1, key.2), bytes);
-            }
-        }
-        adm
+        self.tiered(&key, HullAdm::from_blob, HullAdm::to_blob, || {
+            self.fixture_with_seed(spec, days, seed)
+                .adm(adm_kind, train_days)
+        })
     }
 
     /// Current hit/miss counters.
@@ -690,6 +419,23 @@ impl FixtureCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shatter_adm::kmeans::KMeansParams;
+    use shatter_store::BlobStats;
+
+    fn fixture(cache: &FixtureCache, spec: &HouseSpec, days: usize) -> Arc<HouseFixture> {
+        cache.fixture_with_seed(spec, days, spec.canonical_seed)
+    }
+
+    /// A cache over a fresh blob store in a per-test temp directory.
+    fn disk_cache(tag: &str) -> (FixtureCache, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!(
+            "shatter-fixtures-test-{tag}-{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = BlobStore::open(&dir, disk_schema_sig()).unwrap();
+        (FixtureCache::new().with_disk(store), dir)
+    }
 
     #[test]
     fn hit_rate_distinguishes_empty_from_all_miss() {
@@ -710,8 +456,8 @@ mod tests {
     #[test]
     fn fixture_is_cached() {
         let cache = FixtureCache::new();
-        let a = cache.fixture(&HouseSpec::aras_a(), 3);
-        let b = cache.fixture(&HouseSpec::aras_a(), 3);
+        let a = fixture(&cache, &HouseSpec::aras_a(), 3);
+        let b = fixture(&cache, &HouseSpec::aras_a(), 3);
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -720,9 +466,9 @@ mod tests {
     #[test]
     fn distinct_keys_distinct_entries() {
         let cache = FixtureCache::new();
-        let a = cache.fixture(&HouseSpec::aras_a(), 3);
-        let b = cache.fixture(&HouseSpec::aras_b(), 3);
-        let c = cache.fixture(&HouseSpec::aras_a(), 4);
+        let a = fixture(&cache, &HouseSpec::aras_a(), 3);
+        let b = fixture(&cache, &HouseSpec::aras_b(), 3);
+        let c = fixture(&cache, &HouseSpec::aras_a(), 4);
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.stats().misses, 3);
@@ -755,8 +501,9 @@ mod tests {
     fn cached_adm_matches_uncached_training() {
         let cache = FixtureCache::new();
         let spec = HouseSpec::aras_a();
-        let cached = cache.adm(&spec, 4, AdmKind::default_kmeans(), 3);
-        let again = cache.adm(&spec, 4, AdmKind::default_kmeans(), 3);
+        let seed = spec.canonical_seed;
+        let cached = cache.adm_with_seed(&spec, 4, seed, AdmKind::default_kmeans(), 3);
+        let again = cache.adm_with_seed(&spec, 4, seed, AdmKind::default_kmeans(), 3);
         assert!(Arc::ptr_eq(&cached, &again));
         let fx = HouseFixture::new(&spec, 4);
         let direct = fx.adm(AdmKind::default_kmeans(), 3);
@@ -776,12 +523,12 @@ mod tests {
     #[test]
     fn memo_caches_by_key_and_recomputes_when_disabled() {
         let cache = FixtureCache::new();
-        let a = cache.memo("k1", || 41usize + 1);
-        let b = cache.memo("k1", || unreachable!("must be served from cache"));
-        assert_eq!((*a, *b), (42, 42));
+        let a = cache.memo_blob("k1", || vec![41.0 + 1.0]);
+        let b: Arc<Vec<f64>> = cache.memo_blob("k1", || unreachable!("must be served from cache"));
+        assert_eq!((a[0], b[0]), (42.0, 42.0));
         assert!(Arc::ptr_eq(&a, &b));
-        let other = cache.memo("k2", || 7usize);
-        assert_eq!(*other, 7);
+        let other = cache.memo_blob("k2", || vec![7.0]);
+        assert_eq!(*other, vec![7.0]);
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -792,22 +539,22 @@ mod tests {
         );
 
         let off = FixtureCache::disabled();
-        assert!(off.is_disabled());
-        let x = off.memo("k1", || 1usize);
-        let y = off.memo("k1", || 2usize);
-        assert_eq!((*x, *y), (1, 2));
+        let x = off.memo_blob("k1", || vec![1.0]);
+        let y = off.memo_blob("k1", || vec![2.0]);
+        assert_eq!((x[0], y[0]), (1.0, 2.0));
         assert_eq!(off.stats().hits, 0);
-        let f1 = off.fixture(&HouseSpec::aras_a(), 2);
-        let f2 = off.fixture(&HouseSpec::aras_a(), 2);
+        let f1 = fixture(&off, &HouseSpec::aras_a(), 2);
+        let f2 = fixture(&off, &HouseSpec::aras_a(), 2);
         assert!(!Arc::ptr_eq(&f1, &f2));
+        assert_eq!((off.stats().hits, off.stats().misses), (0, 4));
     }
 
     #[test]
     fn episodes_cached_and_consistent() {
         let cache = FixtureCache::new();
         let spec = HouseSpec::aras_b();
-        let e1 = cache.episodes(&spec, 2);
-        let e2 = cache.episodes(&spec, 2);
+        let e1 = cache.episodes_with_seed(&spec, 2, spec.canonical_seed);
+        let e2 = cache.episodes_with_seed(&spec, 2, spec.canonical_seed);
         assert!(Arc::ptr_eq(&e1, &e2));
         let direct = extract_episodes(&HouseFixture::new(&spec, 2).month);
         assert_eq!(*e1, direct);
@@ -817,10 +564,72 @@ mod tests {
     fn scaled_spec_fixtures_cache_like_preset_ones() {
         let cache = FixtureCache::new();
         let spec = HouseSpec::scaled(6, 3);
-        let a = cache.fixture(&spec, 2);
-        let b = cache.fixture(&spec, 2);
+        let a = fixture(&cache, &spec, 2);
+        let b = fixture(&cache, &spec, 2);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.home.occupants().len(), 3);
         assert_eq!(a.month.n_occupants, 3);
+    }
+
+    #[test]
+    fn discarded_blobs_are_recomputed_and_not_counted_as_store_hits() {
+        let (cache, dir) = disk_cache("discard");
+        let spec = HouseSpec::aras_a();
+        let seed = spec.canonical_seed;
+        let disk = cache.disk().unwrap();
+        let tag = spec.cache_tag();
+        // Bytes that pass the store checksum but mean nothing: garbage
+        // episodes, and a 1-day month under a 2-day key.
+        disk.put(&format!("episodes/{tag}/2/{seed}"), b"garbage")
+            .unwrap();
+        let short = HouseFixture::with_seed(&spec, 1, seed).month.to_blob();
+        disk.put(&format!("fixture/{tag}/2/{seed}"), &short)
+            .unwrap();
+
+        let eps = cache.episodes_with_seed(&spec, 2, seed);
+        let fx = cache.fixture_with_seed(&spec, 2, seed);
+        let fresh = HouseFixture::with_seed(&spec, 2, seed);
+        assert_eq!(fx.month, fresh.month);
+        assert_eq!(*eps, extract_episodes(&fresh.month));
+        let BlobStats {
+            hits, discarded, ..
+        } = disk.stats();
+        assert_eq!((hits, discarded), (0, 2));
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 2,
+                ..CacheStats::default()
+            }
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn disk_keys_are_pinned() {
+        // Warm stores written by older builds stay warm only while these
+        // key strings stay exactly as they are.
+        let (cache, dir) = disk_cache("keys");
+        let spec = HouseSpec::aras_a();
+        let seed = spec.canonical_seed;
+        let kind = AdmKind::KMeans(KMeansParams {
+            k: 5,
+            max_iter: 30,
+            seed: 9,
+        });
+        cache.fixture_with_seed(&spec, 2, seed);
+        cache.episodes_with_seed(&spec, 2, seed);
+        cache.adm_with_seed(&spec, 2, seed, kind, 1);
+        let tag = format!("HA-{:016x}", spec.signature());
+        let disk = cache.disk().unwrap();
+        for key in [
+            format!("fixture/{tag}/2/{seed}"),
+            format!("episodes/{tag}/2/{seed}"),
+            format!("adm/{tag}/2/{seed}/k1-0000000000000005-000000000000001e-0000000000000009/1"),
+        ] {
+            assert!(disk.get(&key).is_some(), "no blob under {key}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -45,10 +45,7 @@ pub mod runner;
 pub mod scenario;
 pub mod table;
 
-pub use fixtures::{
-    disk_schema_sig, CacheStats, FixtureCache, HouseFixture, DISK_SCHEMA, HOUSE_A_SEED,
-    HOUSE_B_SEED,
-};
+pub use fixtures::{disk_schema_sig, CacheStats, FixtureCache, HouseFixture, DISK_SCHEMA};
 pub use pool::{PoolExecutor, WorkPool};
 pub use report::{CsvReporter, JsonLinesReporter, Reporter, TextReporter};
 pub use runner::{RunConfig, RunOutcome, ScenarioReport, ScenarioStatus};

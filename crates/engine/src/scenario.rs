@@ -185,7 +185,7 @@ impl ScenarioCtx<'_> {
     /// fixture while `base_seed == 0` keeps the canonical months
     /// byte-stable.
     pub fn dataset_seed(&self, spec: &HouseSpec) -> u64 {
-        crate::fixtures::canonical_seed(spec) ^ self.params.base_seed
+        spec.canonical_seed ^ self.params.base_seed
     }
 
     /// Cached fixture for `(spec, days)` under this run's dataset seed.

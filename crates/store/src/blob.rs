@@ -21,7 +21,7 @@
 //! (a miss), never to a wrong value.
 
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,7 +29,7 @@ use shatter_faults::FaultKind;
 
 use crate::fnv::fnv1a_str;
 use crate::wire::{Reader, Writer};
-use crate::{encode_record, parse_record};
+use crate::{encode_record, parse_record, write_record};
 
 /// Magic tag opening every blob file; trailing `1` is the format
 /// version. Distinct from the journal's `SHATTERJ1` so the two record
@@ -119,7 +119,6 @@ pub struct BlobStore {
     writes: AtomicU64,
     discarded: AtomicU64,
     torn: AtomicU64,
-    tmp_counter: AtomicU64,
 }
 
 impl BlobStore {
@@ -150,7 +149,6 @@ impl BlobStore {
             writes: AtomicU64::new(0),
             discarded: AtomicU64::new(0),
             torn: AtomicU64::new(0),
-            tmp_counter: AtomicU64::new(0),
         })
     }
 
@@ -173,6 +171,32 @@ impl BlobStore {
     /// key, content address) is likewise deleted, counted and
     /// reported as a miss.
     pub fn get(&self, key: &str) -> Option<Vec<u8>> {
+        let bytes = self.read(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(bytes)
+    }
+
+    /// Decoded read: the value `decode` makes of `key`'s payload, and
+    /// the payload's size (callers charge it against their RAM
+    /// budget). A blob whose bytes survive the checksum but fail
+    /// `decode` (version skew, type confusion, a shape check) is
+    /// deleted, counted discarded and reported as a miss, not a hit.
+    pub fn get_decoded<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<(T, usize)> {
+        let bytes = self.read(key)?;
+        let Some(v) = decode(&bytes) else {
+            self.discard(key);
+            return None;
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some((v, bytes.len()))
+    }
+
+    /// Reads and validates `key`'s record without counting a hit.
+    fn read(&self, key: &str) -> Option<Vec<u8>> {
         self.gets.fetch_add(1, Ordering::Relaxed);
         let path = self.dir.join(blob_file_name(key));
         match shatter_faults::hit("store.read") {
@@ -193,10 +217,7 @@ impl BlobStore {
             return None;
         }
         match parse_record(&path, BLOB_MAGIC, self.schema_sig, blob_file_name) {
-            Some((stored_key, payload)) if stored_key == key => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
-            }
+            Some((stored_key, payload)) if stored_key == key => Some(payload),
             // Valid record, wrong key: an FNV address collision or a
             // renamed file — either way not our data.
             Some(_) | None => {
@@ -207,35 +228,24 @@ impl BlobStore {
         }
     }
 
-    /// Deletes `key`'s blob (if any) and counts it discarded. Callers
-    /// use this when bytes that passed the store's checksum fail a
-    /// higher-level validation (typed decode, shape checks) — the blob
-    /// is damage either way and must not be served again.
-    pub fn discard(&self, key: &str) {
+    /// Deletes `key`'s blob (if any) and counts it discarded: bytes
+    /// that passed the store's checksum but failed a higher-level
+    /// validation are damage and must not be served again.
+    fn discard(&self, key: &str) {
         fs::remove_file(self.dir.join(blob_file_name(key))).ok();
         self.discarded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Typed read: [`BlobStore::get`] + [`Blob::from_blob`]. A blob
-    /// whose bytes survive the checksum but fail typed decoding
-    /// (version skew, type confusion) is deleted and counted
-    /// discarded.
+    /// Typed read: [`BlobStore::get_decoded`] with
+    /// [`Blob::from_blob`].
     pub fn get_blob<T: Blob>(&self, key: &str) -> Option<T> {
         self.get_blob_sized(key).map(|(v, _)| v)
     }
 
     /// Like [`BlobStore::get_blob`] but also returns the serialized
-    /// size, which callers charge against their RAM budget.
+    /// size.
     pub fn get_blob_sized<T: Blob>(&self, key: &str) -> Option<(T, usize)> {
-        let bytes = self.get(key)?;
-        match T::from_blob(&bytes) {
-            Some(v) => Some((v, bytes.len())),
-            None => {
-                self.discard(key);
-                self.hits.fetch_sub(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.get_decoded(key, T::from_blob)
     }
 
     /// Durably stores `payload` under `key` (tmp file, `sync_all`,
@@ -250,30 +260,9 @@ impl BlobStore {
     /// Returns any I/O error from the write, sync or rename.
     pub fn put(&self, key: &str, payload: &[u8]) -> io::Result<()> {
         let bytes = encode_record(BLOB_MAGIC, self.schema_sig, key, payload);
-        let final_path = self.dir.join(blob_file_name(key));
-        match shatter_faults::hit("store.write") {
-            Some(FaultKind::Panic) => shatter_faults::panic_now("store.write"),
-            Some(FaultKind::Io) => {
-                let torn = &bytes[..bytes.len() / 2];
-                fs::write(&final_path, torn)?;
-                self.torn.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            Some(FaultKind::Overflow) | Some(FaultKind::Budget) => return Ok(()),
-            None => {}
+        if write_record(&self.dir, &blob_file_name(key), &bytes, 'b', &self.torn)? {
+            self.writes.fetch_add(1, Ordering::Relaxed);
         }
-        let tmp = self.dir.join(format!(
-            "b{}-{:x}.tmp",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &final_path)?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 

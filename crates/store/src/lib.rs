@@ -94,7 +94,6 @@ pub struct Journal {
     hits: AtomicU64,
     writes: AtomicU64,
     torn: AtomicU64,
-    tmp_counter: AtomicU64,
 }
 
 impl Journal {
@@ -149,7 +148,6 @@ impl Journal {
             hits: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             torn: AtomicU64::new(0),
-            tmp_counter: AtomicU64::new(0),
         })
     }
 
@@ -203,40 +201,13 @@ impl Journal {
     /// Returns any I/O error from the write, sync or rename.
     pub fn put(&self, key: &str, payload: &[u8]) -> io::Result<()> {
         let bytes = encode_record(MAGIC, self.config_sig, key, payload);
-        let final_path = self.dir.join(record_file_name(key));
-        match shatter_faults::hit("store.write") {
-            Some(FaultKind::Panic) => shatter_faults::panic_now("store.write"),
-            Some(FaultKind::Io) => {
-                // Torn write: half the record lands at the final path
-                // with no rename barrier — the worst case a real crash
-                // plus reordered writeback can produce.
-                let torn = &bytes[..bytes.len() / 2];
-                fs::write(&final_path, torn)?;
-                self.torn.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            // The journal has no solver budget to exhaust; the other
-            // kinds just skip the write (a lost record, recomputed on
-            // resume).
-            Some(FaultKind::Overflow) | Some(FaultKind::Budget) => return Ok(()),
-            None => {}
+        if write_record(&self.dir, &record_file_name(key), &bytes, 'w', &self.torn)? {
+            self.records
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .insert(key.to_string(), payload.to_vec());
+            self.writes.fetch_add(1, Ordering::Relaxed);
         }
-        let tmp = self.dir.join(format!(
-            "w{}-{:x}.tmp",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &final_path)?;
-        self.records
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key.to_string(), payload.to_vec());
-        self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -288,6 +259,52 @@ pub(crate) fn encode_record(magic: &str, config_sig: u64, key: &str, payload: &[
     .into_bytes();
     bytes.extend_from_slice(payload);
     bytes
+}
+
+/// Durably writes one encoded record as `dir/name`: full bytes to a
+/// unique temp file `{tmp_prefix}{pid}-{n:x}.tmp` in the same
+/// directory, `sync_all`, then an atomic rename onto the final name.
+/// Returns whether the record landed intact (shared by [`Journal`] and
+/// [`BlobStore`]).
+///
+/// Fault site `store.write` (consulted before any bytes move): `panic`
+/// unwinds here (a reproducible mid-run crash), `io` simulates a torn
+/// write — half the record lands at the final path with no rename
+/// barrier, the worst case a real crash plus reordered writeback can
+/// produce — and counts it in `torn`. The store has no solver budget to
+/// exhaust; the other kinds just skip the write (a lost record,
+/// recomputed later).
+pub(crate) fn write_record(
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+    tmp_prefix: char,
+    torn: &AtomicU64,
+) -> io::Result<bool> {
+    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+    let final_path = dir.join(name);
+    match shatter_faults::hit("store.write") {
+        Some(FaultKind::Panic) => shatter_faults::panic_now("store.write"),
+        Some(FaultKind::Io) => {
+            fs::write(&final_path, &bytes[..bytes.len() / 2])?;
+            torn.fetch_add(1, Ordering::Relaxed);
+            return Ok(false);
+        }
+        Some(FaultKind::Overflow) | Some(FaultKind::Budget) => return Ok(false),
+        None => {}
+    }
+    let tmp = dir.join(format!(
+        "{tmp_prefix}{}-{:x}.tmp",
+        std::process::id(),
+        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, &final_path)?;
+    Ok(true)
 }
 
 /// Validates and decodes one record file; `None` means damaged /

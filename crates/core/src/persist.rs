@@ -15,7 +15,7 @@ use shatter_store::Blob;
 use crate::schedule::{AttackSchedule, WindowSolution};
 
 impl Blob for WindowSolution {
-    const TAG: &'static str = "window-solution/1";
+    const TAG: &'static str = "window-solution/2";
 
     fn encode(&self, w: &mut Writer) {
         match &self.zones {
@@ -35,7 +35,6 @@ impl Blob for WindowSolution {
             self.sat_learned,
             self.sat_restarts,
             self.sat_gc_clauses,
-            self.sat_carried,
             self.sat_learnt_live,
             self.float_pivots,
             self.exact_fallbacks,
@@ -71,7 +70,6 @@ impl Blob for WindowSolution {
             sat_learned: r.u64()?,
             sat_restarts: r.u64()?,
             sat_gc_clauses: r.u64()?,
-            sat_carried: r.u64()?,
             sat_learnt_live: r.u64()?,
             float_pivots: r.u64()?,
             exact_fallbacks: r.u64()?,
@@ -136,9 +134,9 @@ impl Blob for AttackSchedule {
 mod tests {
     use super::*;
 
-    #[test]
-    fn window_solution_roundtrip() {
-        let sol = WindowSolution {
+    /// The effort-rich solution the round-trip and golden tests share.
+    fn sample_solution() -> WindowSolution {
+        WindowSolution {
             zones: Some(vec![ZoneId(3), ZoneId(0), ZoneId(7)]),
             theory_conflicts: 41,
             sat_decisions: 1000,
@@ -146,7 +144,6 @@ mod tests {
             sat_learned: 17,
             sat_restarts: 2,
             sat_gc_clauses: 5,
-            sat_carried: 0,
             sat_learnt_live: 9,
             float_pivots: 88,
             exact_fallbacks: 3,
@@ -158,7 +155,12 @@ mod tests {
             degraded: false,
             retried: true,
             overflow: false,
-        };
+        }
+    }
+
+    #[test]
+    fn window_solution_roundtrip() {
+        let sol = sample_solution();
         assert_eq!(WindowSolution::from_blob(&sol.to_blob()), Some(sol));
         let infeasible = WindowSolution {
             zones: None,
@@ -169,6 +171,41 @@ mod tests {
             WindowSolution::from_blob(&infeasible.to_blob()),
             Some(infeasible)
         );
+    }
+
+    #[test]
+    fn window_solution_encoding_is_pinned() {
+        // A field change that keeps the tag would make old store blobs
+        // misdecode; this golden pin fails first. Bump `TAG` and re-pin.
+        let bytes = sample_solution().to_blob();
+        assert_eq!(bytes.len(), 162);
+        assert_eq!(
+            shatter_store::fnv::fnv1a_bytes(&bytes),
+            0x9291_e9e8_ed15_da97
+        );
+    }
+
+    #[test]
+    fn window_solution_v1_layout_is_rejected() {
+        // The `window-solution/1` layout had one more u64 (learnts kept
+        // across window pops) between `sat_gc_clauses` and
+        // `sat_learnt_live`; stores written with it must recompute, not
+        // misread.
+        let mut w = Writer::new();
+        w.str("window-solution/1");
+        w.bool(true);
+        w.usize(3);
+        for z in [3, 0, 7] {
+            w.u32(z);
+        }
+        for v in [41, 1000, 123_456, 17, 2, 5, 0, 9, 88, 3, 404, 1, 1, 40] {
+            w.u64(v);
+        }
+        w.opt_i64(Some(-12_345));
+        w.bool(false);
+        w.bool(true);
+        w.bool(false);
+        assert_eq!(WindowSolution::from_blob(&w.into_bytes()), None);
     }
 
     #[test]

@@ -251,9 +251,6 @@ pub struct WindowSolution {
     /// Learnt clauses garbage-collected by the clause-DB reduction
     /// during the original solve.
     pub sat_gc_clauses: u64,
-    /// Learnt clauses carried through the end-of-window pop (carry mode
-    /// only; zero in the default replay-exact mode).
-    pub sat_carried: u64,
     /// Live learnt clauses at the end of the window solve, before the
     /// pop (gauge).
     pub sat_learnt_live: u64,
@@ -360,9 +357,8 @@ impl BatchExecutor for SerialExecutor {
 /// window chains submitted through `exec` — batched across the engine's
 /// worker pool when one is behind the executor — and the per-occupant
 /// results merged in occupant order. Each chain builds its own solver
-/// instances (and, in carry mode, its own carried-learnt pool), so the
-/// assembled schedule and the merged statistics are byte-identical to
-/// the serial path regardless of executor parallelism.
+/// instances, so the assembled schedule and the merged statistics are
+/// byte-identical to the serial path regardless of executor parallelism.
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_day_batched(
     scheduler: &(dyn Scheduler + Sync),

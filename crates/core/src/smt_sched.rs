@@ -34,8 +34,8 @@ use crate::{AttackerCapability, RewardTable};
 ///
 /// # Incremental solving
 ///
-/// The solver is carried across a day's windows through a
-/// [`WindowEncoder`]: the window-shape *template* (the `x`/`y` variables
+/// The solver is carried across a day's windows through a window
+/// encoder: the window-shape *template* (the `x`/`y` variables
 /// and the exactly-one rows, which only depend on the window span and
 /// zone count) is encoded once per span, and each window pushes only its
 /// specific reward/boundary/capability constraints onto the assertion
@@ -58,24 +58,6 @@ pub struct SmtScheduler {
     /// a fresh solver per window — the slow reference path kept for the
     /// incremental-vs-fresh equivalence tests.
     pub reuse_solver: bool,
-    /// Retain window-agnostic learnt clauses *across* windows: the CDCL
-    /// core tags every learnt with the push depth its derivation depends
-    /// on, and the end-of-window pop keeps lemmas derived purely from
-    /// the span template (or from the theory over template variables).
-    ///
-    /// # Determinism contract
-    ///
-    /// Default (`false`): every pop is replay-exact, so schedules are
-    /// byte-identical to the `reuse_solver: false` reference path and
-    /// across thread counts. With carry on, later windows see lemmas
-    /// earlier windows learned, so the *search* (and thus tie-breaking
-    /// among equal-objective schedules) may diverge from the fresh path;
-    /// runs remain deterministic for a fixed configuration, per-window
-    /// objectives are unchanged (property-tested: equal rewards within
-    /// the OMT tolerance, schedules still valid/stealthy), and window
-    /// memoization is bypassed because a window's solution is no longer
-    /// a pure function of the window key.
-    pub carry_learnts: bool,
     /// Run the simplex in forced-exact mode
     /// ([`NumericMode::ExactOnly`]) instead of the certified float fast
     /// path. Schedules are byte-identical either way (the fast path
@@ -109,8 +91,8 @@ pub struct SmtScheduler {
     /// only the effort counters differ, and portfolio-mode windows key
     /// their memo entries distinctly). The default honours the
     /// `SHATTER_PORTFOLIO` environment variable, which is how `repro
-    /// --portfolio` exposes it. Racing is disabled in carry mode, under
-    /// a per-window budget, and while a fault scenario is armed.
+    /// --portfolio` exposes it. Racing is disabled under a per-window
+    /// budget and while a fault scenario is armed.
     pub portfolio: usize,
     /// Hardness threshold for the deterministic effort heuristic: a
     /// window is *hard* when the previous window's canonical solve cost
@@ -132,7 +114,6 @@ impl Default for SmtScheduler {
             horizon: 10,
             tol_microusd: 1.0,
             reuse_solver: true,
-            carry_learnts: false,
             force_exact: exact_simplex_env(),
             budget: budget_env(),
             portfolio: portfolio_env(),
@@ -218,8 +199,6 @@ pub struct SmtStats {
     pub sat_restarts: u64,
     /// Learnt clauses removed by the clause-DB reduction (GC).
     pub sat_gc_clauses: u64,
-    /// Learnt clauses carried across window pops (carry mode only).
-    pub sat_carried: u64,
     /// Peak live learnt-clause count observed at any window's end.
     pub sat_learnt_live: u64,
     /// Simplex pivots run through the certified f64 fast path.
@@ -253,7 +232,6 @@ impl SmtStats {
         self.sat_learned += w.sat_learned;
         self.sat_restarts += w.sat_restarts;
         self.sat_gc_clauses += w.sat_gc_clauses;
-        self.sat_carried += w.sat_carried;
         self.sat_learnt_live = self.sat_learnt_live.max(w.sat_learnt_live);
         self.float_pivots += w.float_pivots;
         self.exact_fallbacks += w.exact_fallbacks;
@@ -275,7 +253,6 @@ impl SmtStats {
         self.sat_learned += other.sat_learned;
         self.sat_restarts += other.sat_restarts;
         self.sat_gc_clauses += other.sat_gc_clauses;
-        self.sat_carried += other.sat_carried;
         self.sat_learnt_live = self.sat_learnt_live.max(other.sat_learnt_live);
         self.float_pivots += other.float_pivots;
         self.exact_fallbacks += other.exact_fallbacks;
@@ -328,19 +305,8 @@ struct WindowProblem<'a> {
 }
 
 impl WindowEncoder {
-    fn new(
-        horizon: usize,
-        n_zones: usize,
-        carry_learnts: bool,
-        force_exact: bool,
-    ) -> WindowEncoder {
-        WindowEncoder::with_config(
-            horizon,
-            n_zones,
-            carry_learnts,
-            force_exact,
-            SearchConfig::default(),
-        )
+    fn new(horizon: usize, n_zones: usize, force_exact: bool) -> WindowEncoder {
+        WindowEncoder::with_config(horizon, n_zones, force_exact, SearchConfig::default())
     }
 
     /// [`WindowEncoder::new`] with an explicit CDCL search configuration
@@ -351,13 +317,11 @@ impl WindowEncoder {
     fn with_config(
         horizon: usize,
         n_zones: usize,
-        carry_learnts: bool,
         force_exact: bool,
         config: SearchConfig,
     ) -> WindowEncoder {
         let mut solver = Solver::new();
         solver.set_search_config(config);
-        solver.set_carry_learnts(carry_learnts);
         if force_exact {
             solver.set_numeric_mode(NumericMode::ExactOnly);
         }
@@ -570,7 +534,6 @@ impl WindowEncoder {
             sat_learned: sat.learned,
             sat_restarts: sat.restarts,
             sat_gc_clauses: sat.gc_clauses,
-            sat_carried: sat.carried,
             sat_learnt_live: live,
             float_pivots: spx.float_pivots,
             exact_fallbacks: spx.exact_fallbacks,
@@ -600,7 +563,6 @@ fn merge_effort(into: &mut WindowSolution, failed: &WindowSolution) {
     into.sat_learned += failed.sat_learned;
     into.sat_restarts += failed.sat_restarts;
     into.sat_gc_clauses += failed.sat_gc_clauses;
-    into.sat_carried += failed.sat_carried;
     into.sat_learnt_live = into.sat_learnt_live.max(failed.sat_learnt_live);
     into.float_pivots += failed.float_pivots;
     into.exact_fallbacks += failed.exact_fallbacks;
@@ -637,7 +599,7 @@ impl SmtScheduler {
     ) -> WindowSolution {
         let mut sol = encoder.solve_window(p);
         if sol.overflow && !self.force_exact {
-            let mut exact = WindowEncoder::new(p.horizon, n_zones, self.carry_learnts, true);
+            let mut exact = WindowEncoder::new(p.horizon, n_zones, true);
             let mut retry = exact.solve_window(p);
             retry.retried = true;
             merge_effort(&mut retry, &sol);
@@ -666,7 +628,7 @@ impl SmtScheduler {
         race: usize,
         exec: &dyn BatchExecutor,
     ) -> WindowSolution {
-        debug_assert!(p.budget.is_none() && p.floor.is_none() && !self.carry_learnts);
+        debug_assert!(p.budget.is_none() && p.floor.is_none());
         // Phase 1: prove the optimum.
         let mut spent: Vec<WindowSolution> = Vec::new();
         let mut won_by = 0usize;
@@ -685,7 +647,6 @@ impl SmtScheduler {
                     let mut e = WindowEncoder::with_config(
                         p.horizon,
                         n_zones,
-                        false,
                         self.force_exact,
                         SearchConfig::diversified(i),
                     );
@@ -716,22 +677,10 @@ impl SmtScheduler {
                     floor: Some(v),
                     ..*p
                 };
-                let mut e = WindowEncoder::with_config(
-                    p.horizon,
-                    n_zones,
-                    false,
-                    self.force_exact,
-                    SearchConfig::default(),
-                );
+                let mut e = WindowEncoder::new(p.horizon, n_zones, self.force_exact);
                 let mut extraction = e.solve_window(&floored);
                 if extraction.overflow && !self.force_exact {
-                    let mut exact = WindowEncoder::with_config(
-                        p.horizon,
-                        n_zones,
-                        false,
-                        true,
-                        SearchConfig::default(),
-                    );
+                    let mut exact = WindowEncoder::new(p.horizon, n_zones, true);
                     let mut retry = exact.solve_window(&floored);
                     retry.retried = true;
                     merge_effort(&mut retry, &extraction);
@@ -889,16 +838,11 @@ impl SmtScheduler {
             stats.windows += 1;
             let mut fresh_store = None;
             let encoder: &mut WindowEncoder = if self.reuse_solver {
-                encoders.entry(horizon).or_insert_with(|| {
-                    WindowEncoder::new(horizon, n_zones, self.carry_learnts, self.force_exact)
-                })
+                encoders
+                    .entry(horizon)
+                    .or_insert_with(|| WindowEncoder::new(horizon, n_zones, self.force_exact))
             } else {
-                fresh_store.insert(WindowEncoder::new(
-                    horizon,
-                    n_zones,
-                    self.carry_learnts,
-                    self.force_exact,
-                ))
+                fresh_store.insert(WindowEncoder::new(horizon, n_zones, self.force_exact))
             };
             let problem = WindowProblem {
                 o,
@@ -918,11 +862,9 @@ impl SmtScheduler {
             };
             // Hard-window classification: deterministic (previous
             // window's canonical conflicts), and only on the exact,
-            // unbudgeted, replay-exact path — carry mode, budget mode,
-            // loose tolerances and armed fault scenarios all keep the
-            // plain per-window solve.
-            let hard = !self.carry_learnts
-                && problem.budget.is_none()
+            // unbudgeted path — budget mode, loose tolerances and armed
+            // fault scenarios all keep the plain per-window solve.
+            let hard = problem.budget.is_none()
                 && self.tol_microusd <= 1.0
                 && !shatter_faults::scenario_armed()
                 && prev_canonical > self.portfolio_hard_conflicts;
@@ -938,10 +880,6 @@ impl SmtScheduler {
                     self.run_window(encoder, &problem, n_zones)
                 }
             };
-            // In carry mode a window's solution depends on the lemmas
-            // carried in from earlier windows, so it is not a pure
-            // function of the window key: skip the memo entirely.
-            let memo = if self.carry_learnts { None } else { memo };
             // Fault-targeted scenarios bypass the shared memo outright:
             // injected degradations must neither pollute the cache nor
             // replay fragments a clean scenario stored.
@@ -1312,41 +1250,30 @@ mod tests {
     }
 
     #[test]
-    fn hard_windows_disabled_in_carry_and_budget_modes() {
-        // Carry mode and budgeted mode gate off the hard-window path
-        // (their windows are not pure functions of the window key /
-        // their budgets must bound every pass): racing must be a no-op.
+    fn hard_windows_disabled_in_budget_mode() {
+        // Budgeted mode gates off the hard-window path (its budget must
+        // bound every pass): racing must be a no-op.
         let (ds, adm, table, cap) = setup();
         let day = &ds.days[10];
-        for sched in [
-            SmtScheduler {
-                portfolio: 4,
-                portfolio_hard_conflicts: 0,
-                carry_learnts: true,
-                ..SmtScheduler::default()
-            },
-            SmtScheduler {
-                portfolio: 4,
-                portfolio_hard_conflicts: 0,
-                budget: Some(Budget {
-                    max_conflicts: Some(10_000_000),
-                    max_pivots: None,
-                    max_probes: None,
-                }),
-                ..SmtScheduler::default()
-            },
-        ] {
-            let reference = SmtScheduler {
-                portfolio: 0,
-                portfolio_hard_conflicts: u64::MAX,
-                ..sched
-            };
-            let (row, stats) = sched.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
-            let (row_ref, _) =
-                reference.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
-            assert_eq!(row, row_ref);
-            assert_eq!(stats.portfolio_wins, 0);
-        }
+        let sched = SmtScheduler {
+            portfolio: 4,
+            portfolio_hard_conflicts: 0,
+            budget: Some(Budget {
+                max_conflicts: Some(10_000_000),
+                max_pivots: None,
+                max_probes: None,
+            }),
+            ..SmtScheduler::default()
+        };
+        let reference = SmtScheduler {
+            portfolio: 0,
+            portfolio_hard_conflicts: u64::MAX,
+            ..sched
+        };
+        let (row, stats) = sched.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
+        let (row_ref, _) = reference.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
+        assert_eq!(row, row_ref);
+        assert_eq!(stats.portfolio_wins, 0);
     }
 
     #[test]

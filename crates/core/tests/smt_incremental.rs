@@ -164,124 +164,44 @@ fn memoized_reused_solver_matches_direct_path() {
     assert_eq!(replay_stats.sat_restarts, direct_stats.sat_restarts);
 }
 
-// ----- carry mode (cross-window learnt retention) ------------------------
-
-/// Carry mode trades replay-exactness for clause reuse; its contract is
-/// weaker and different: per-occupant rewards equal the default path's
-/// within the OMT tolerance (each window still solves to the same
-/// optimum), the schedules validate (stealthy + capability-clean), and
-/// repeated runs are deterministic.
 #[test]
-fn carry_mode_matches_objectives_and_stays_valid() {
-    for &(seed, span) in &[(71u64, 40usize), (5, 30)] {
-        let (ds, adm, table, cap) = world(seed);
-        let day = &ds.days[10];
-        for &horizon in &[7usize, 10] {
-            let default = SmtScheduler {
-                horizon,
-                ..SmtScheduler::default()
-            };
-            let carry = SmtScheduler {
-                carry_learnts: true,
-                ..default
-            };
-            let o = OccupantId(0);
-            let (def_row, def_stats) = default.schedule_occupant(o, &table, &adm, &cap, day, span);
-            let (carry_row, carry_stats) =
-                carry.schedule_occupant(o, &table, &adm, &cap, day, span);
-            let ctx = format!("seed={seed} span={span} horizon={horizon}");
-            assert_eq!(
-                carry_stats.windows, def_stats.windows,
-                "window counts diverge ({ctx})"
-            );
-            // Equal objective values: every window is solved to the same
-            // optimum, so the per-occupant rewards agree within the
-            // accumulated binary-search tolerance.
-            let tol_usd = default.tol_microusd * def_stats.windows as f64 / 1e6;
-            let (rd, rc) = (reward(&table, o, &def_row), reward(&table, o, &carry_row));
-            assert!(
-                (rd - rc).abs() <= tol_usd + 1e-9,
-                "objectives diverge beyond tol ({ctx}): default {rd} vs carry {rc}"
-            );
-            // Determinism: a second carry run replays identically.
-            let (again, _) = carry.schedule_occupant(o, &table, &adm, &cap, day, span);
-            assert_eq!(carry_row, again, "carry mode nondeterministic ({ctx})");
-        }
-    }
-}
-
-#[test]
-fn carry_mode_full_day_schedule_stays_valid() {
-    // "Valid" here is exactly what the default path guarantees on a full
+fn full_day_schedule_stays_valid() {
+    // "Valid" here is exactly what the solver path guarantees on a full
     // day: well-shaped, every relocation within capability, every
     // reported activity plausible — and stealth violations, if any,
     // limited to the known fallback-stitching artifact (infeasible
     // windows mirror the actual trace, and a mirrored run merged with a
     // solver-committed neighbour can misalign with the actual episode
     // boundaries; `validate` then reports `NotStealthy` even though
-    // every minute matches actual behaviour or a solved window — the
-    // pre-carry solver behaves identically). Carry mode must not
-    // introduce any *other* violation class, and its divergence from
+    // every minute matches actual behaviour or a solved window). No
+    // *other* violation class may appear, and the divergence from
     // actual behaviour must stay attack-shaped (non-trivial).
     let (ds, adm, table, cap) = world(71);
     let day = &ds.days[10];
-    for carry_learnts in [false, true] {
-        let sched = SmtScheduler {
-            carry_learnts,
-            ..SmtScheduler::default()
-        };
-        let zones: Vec<Vec<ZoneId>> = (0..2)
-            .map(|o| {
-                sched
-                    .schedule_occupant(
-                        OccupantId(o),
-                        &table,
-                        &adm,
-                        &cap,
-                        day,
-                        shatter_smarthome::MINUTES_PER_DAY,
-                    )
-                    .0
-            })
-            .collect();
-        let assembled = AttackSchedule::from_zone_rows(zones, &table);
-        match assembled.validate(&adm, &cap, day) {
-            Ok(()) | Err(shatter_core::ScheduleError::NotStealthy { .. }) => {}
-            Err(other) => panic!("carry={carry_learnts}: unexpected violation {other}"),
-        }
-        assert!(
-            assembled.divergence(day) > 0,
-            "carry={carry_learnts}: schedule degenerated to the identity"
-        );
+    let sched = SmtScheduler::default();
+    let zones: Vec<Vec<ZoneId>> = (0..2)
+        .map(|o| {
+            sched
+                .schedule_occupant(
+                    OccupantId(o),
+                    &table,
+                    &adm,
+                    &cap,
+                    day,
+                    shatter_smarthome::MINUTES_PER_DAY,
+                )
+                .0
+        })
+        .collect();
+    let assembled = AttackSchedule::from_zone_rows(zones, &table);
+    match assembled.validate(&adm, &cap, day) {
+        Ok(()) | Err(shatter_core::ScheduleError::NotStealthy { .. }) => {}
+        Err(other) => panic!("unexpected violation {other}"),
     }
-}
-
-#[test]
-fn carry_mode_bypasses_the_window_memo() {
-    // A window solution under carry is not a pure function of its key,
-    // so the scheduler must not read or write memo entries.
-    let (ds, adm, table, cap) = world(71);
-    let day = &ds.days[10];
-    let carry = SmtScheduler {
-        carry_learnts: true,
-        ..SmtScheduler::default()
-    };
-    let memo = MapMemo::default();
-    let (with_memo, _) = carry.schedule_occupant_memo(
-        OccupantId(0),
-        &table,
-        &adm,
-        &cap,
-        day,
-        40,
-        Some((&memo, "t")),
-    );
     assert!(
-        memo.0.lock().unwrap().is_empty(),
-        "carry mode must not populate the window memo"
+        assembled.divergence(day) > 0,
+        "schedule degenerated to the identity"
     );
-    let (direct, _) = carry.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 40);
-    assert_eq!(with_memo, direct);
 }
 
 // ----- numeric modes (certified float fast path vs forced exact) ---------

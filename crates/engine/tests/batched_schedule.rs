@@ -1,8 +1,8 @@
 //! Batched day scheduling through the engine's [`PoolExecutor`]: the
 //! assembled schedule and merged statistics must be byte-identical to
-//! the serial reference executor at every pool width — in carry and
-//! portfolio modes too — and fault-injection scoping must survive the
-//! hop onto pool helper threads.
+//! the serial reference executor at every pool width — in portfolio
+//! mode too — and fault-injection scoping must survive the hop onto
+//! pool helper threads.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -57,13 +57,6 @@ fn batched_day_byte_identical_across_pool_widths_and_modes() {
     let w = world(9);
     let configs: Vec<(&str, SmtScheduler)> = vec![
         ("default", SmtScheduler::default()),
-        (
-            "carry",
-            SmtScheduler {
-                carry_learnts: true,
-                ..SmtScheduler::default()
-            },
-        ),
         (
             "portfolio",
             SmtScheduler {

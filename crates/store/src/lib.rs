@@ -22,10 +22,10 @@
 //! `config_sig` binds every record to the run configuration that
 //! produced it (fleet size, days, span, seed, budget ...), so a journal
 //! can never replay rows into a run with different parameters. The
-//! companion [`write_manifest`]/[`read_manifest`] pair persists those
-//! parameters in human-readable `key=value` form (also via tmp+rename)
-//! so `repro --resume <dir>` can reconstruct the exact original
-//! configuration from the directory alone.
+//! companion [`write_manifest`](Journal::write_manifest)/[`read_manifest`]
+//! pair persists those parameters in human-readable `key=value` form
+//! (also via tmp+rename) so `repro --resume <dir>` can reconstruct the
+//! exact original configuration from the directory alone.
 //!
 //! Writes consult the `store.write` fault-injection site
 //! (`shatter-faults`): an injected `io` fault simulates a torn write

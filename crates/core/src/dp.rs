@@ -2,9 +2,10 @@ use std::sync::Arc;
 
 use shatter_adm::{HullAdm, StayProfile};
 use shatter_dataset::DayTrace;
-use shatter_smarthome::{Minute, OccupantId, ZoneId, MINUTES_PER_DAY};
+use shatter_smarthome::{ApplianceId, Minute, OccupantId, ZoneId, MINUTES_PER_DAY};
 
 use crate::schedule::Scheduler;
+use crate::trigger::zone_is_safe;
 use crate::{AttackerCapability, RewardTable};
 
 /// The window-horizon dynamic attack-schedule optimizer.
@@ -74,46 +75,52 @@ impl WindowDpScheduler {
             act_arrival.push(arr);
         }
 
-        // Expected appliance-trigger reward for *reporting* o in zone z at
-        // minute t (Algorithm 1 preconditions that are schedule-independent:
-        // attacker reach, appliance off, zone actually safe, occupant
-        // actually elsewhere). The minStay window is state-dependent and
-        // applied at transition time.
-        let bonus: Vec<Vec<f64>> = if self.trigger_aware {
-            (0..n_zones)
-                .map(|z| {
-                    let zid = ZoneId(z);
-                    (0..t_end)
-                        .map(|t| {
-                            if !cap.can_attack_at(t as Minute) || act_zone[t] == zid {
-                                return 0.0;
-                            }
-                            let rec = &actual.minutes[t];
-                            let zone_safe = rec
-                                .occupants
-                                .iter()
-                                .all(|os| os.zone != zid || os.activity.is_unaware());
-                            if !zone_safe {
-                                return 0.0;
-                            }
-                            let activity = table.best_activity(o, zid, t as Minute);
-                            (0..table.n_appliances())
-                                .map(shatter_smarthome::ApplianceId)
-                                .filter(|&d| {
-                                    table.appliance_zone(d) == zid
-                                        && !rec.appliances[d.index()]
-                                        && cap.can_trigger(d, t as Minute)
-                                        && table.appliance_linked_to(d, activity)
-                                })
-                                .map(|d| table.appliance_rate(d, t as Minute))
-                                .sum()
-                        })
-                        .collect()
-                })
-                .collect()
-        } else {
-            vec![vec![0.0; t_end]; n_zones]
+        // Capability masks for the loops below: `can_relocate` and
+        // `can_trigger` answer from these instead of set lookups.
+        let occupant_ok = cap.occupants.contains(&o);
+        let zone_ok: Vec<bool> = (0..n_zones)
+            .map(|z| cap.zones.contains(&ZoneId(z)))
+            .collect();
+        let appliance_ok: Vec<bool> = (0..table.n_appliances())
+            .map(|d| cap.appliances.contains(&ApplianceId(d)))
+            .collect();
+        // Whether `o` may be reported in `z` at slot `t` (`can_relocate`
+        // away from the actual zone).
+        let can_report = |z: ZoneId, t: usize| -> bool {
+            z == act_zone[t]
+                || (occupant_ok
+                    && zone_ok[act_zone[t].index()]
+                    && zone_ok[z.index()]
+                    && cap.can_attack_at(t as Minute))
         };
+
+        // Expected appliance-trigger reward `bonus[z * t_end + t]` for
+        // *reporting* o in zone z at minute t (Algorithm 1 preconditions
+        // that are schedule-independent: attacker reach, appliance off,
+        // zone actually safe, occupant actually elsewhere). The minStay
+        // window is state-dependent and applied at transition time. Each
+        // appliance adds into its own zone's cell in ascending id order.
+        let mut bonus = vec![0.0; n_zones * t_end];
+        if self.trigger_aware {
+            for (t, rec) in actual.minutes.iter().enumerate() {
+                let minute = t as Minute;
+                if !cap.can_attack_at(minute) {
+                    continue;
+                }
+                for d in (0..table.n_appliances()).map(ApplianceId) {
+                    let z = table.appliance_zone(d);
+                    if z == act_zone[t]
+                        || rec.appliances[d.index()]
+                        || !appliance_ok[d.index()]
+                        || !zone_is_safe(rec, z)
+                        || !table.appliance_linked_to(d, table.best_activity(o, z, minute))
+                    {
+                        continue;
+                    }
+                    bonus[z.index() * t_end + t] += table.appliance_rate(d, minute);
+                }
+            }
+        }
         // Per-zone stay-bound profiles: every ADM primitive the loops
         // below consult answers from these flat tables instead of walking
         // hull geometry per query.
@@ -122,7 +129,7 @@ impl WindowDpScheduler {
             .collect();
         let slot_reward = |z: ZoneId, arrival: u32, t: usize| -> f64 {
             let base = table.rate(o, z, t as Minute);
-            let b = bonus[z.index()][t];
+            let b = bonus[z.index() * t_end + t];
             if b <= 0.0 {
                 return base;
             }
@@ -142,18 +149,23 @@ impl WindowDpScheduler {
             profiles[z.index()].in_range_stay(arrival as usize, stay as f64)
         };
 
+        // Every layer lives in one arena: layer `t` is
+        // `nodes[starts[t]..starts[t + 1]]`, and a node's `parent` indexes
+        // into the previous layer.
+        let mut nodes: Vec<Node> = Vec::new();
+        let mut starts: Vec<usize> = Vec::with_capacity(t_end + 1);
+        starts.push(0);
+
         // Layer 0: choices for slot 0.
-        let mut layers: Vec<Vec<Node>> = Vec::with_capacity(t_end);
-        let mut first: Vec<Node> = Vec::new();
         for z in 0..n_zones {
             let z = ZoneId(z);
-            if !cap.can_relocate(o, act_zone[0], z, 0) {
+            if !can_report(z, 0) {
                 continue;
             }
             if !has_future(z, 0) {
                 continue;
             }
-            first.push(Node {
+            nodes.push(Node {
                 zone: z,
                 arrival: 0,
                 value: slot_reward(z, 0, 0),
@@ -162,14 +174,14 @@ impl WindowDpScheduler {
             });
         }
         // Shadow mirrors actual regardless of ADM coverage.
-        first.push(Node {
+        nodes.push(Node {
             zone: act_zone[0],
             arrival: 0,
             value: table.rate(o, act_zone[0], 0),
             parent: usize::MAX,
             shadow: true,
         });
-        layers.push(first);
+        starts.push(nodes.len());
 
         // (zone, arrival) dedup for each layer on flat stamped arrays:
         // `dedup_stamp[key] == t` marks `dedup_pos[key]` as live for the
@@ -178,11 +190,14 @@ impl WindowDpScheduler {
         // bounds the arrival axis.
         let mut dedup_stamp = vec![0u32; n_zones * t_end];
         let mut dedup_pos = vec![0u32; n_zones * t_end];
+        // Per-slot scratch, reused across slots.
+        let mut next: Vec<Node> = Vec::new();
+        let mut keep: Vec<usize> = Vec::new();
 
         for t in 1..t_end {
             let minute = t as Minute;
-            let prev = layers.last().expect("layer exists");
-            let mut next: Vec<Node> = Vec::new();
+            let prev = &nodes[starts[t - 1]..];
+            next.clear();
             // Dedup non-shadow nodes by (zone, arrival); shadow nodes are
             // kept separately (at most one survives below).
             let push = |next: &mut Vec<Node>, stamp: &mut Vec<u32>, pos: &mut Vec<u32>, n: Node| {
@@ -224,10 +239,7 @@ impl WindowDpScheduler {
                     if can_exit(act_zone[t - 1], act_arrival[t - 1], stay) {
                         for z in 0..n_zones {
                             let z = ZoneId(z);
-                            if z == act_zone[t - 1]
-                                || !cap.can_relocate(o, act_zone[t], z, minute)
-                                || !has_future(z, t)
-                            {
+                            if z == act_zone[t - 1] || !can_report(z, t) || !has_future(z, t) {
                                 continue;
                             }
                             push(
@@ -248,8 +260,7 @@ impl WindowDpScheduler {
                 }
 
                 // Optimized state: stay put.
-                if cap.can_relocate(o, act_zone[t], p.zone, minute)
-                    && can_extend(p.zone, p.arrival, t as u32 + 1 - p.arrival)
+                if can_report(p.zone, t) && can_extend(p.zone, p.arrival, t as u32 + 1 - p.arrival)
                 {
                     push(
                         &mut next,
@@ -269,10 +280,7 @@ impl WindowDpScheduler {
                 if can_exit(p.zone, p.arrival, stay) {
                     for z in 0..n_zones {
                         let z = ZoneId(z);
-                        if z == p.zone
-                            || !cap.can_relocate(o, act_zone[t], z, minute)
-                            || !has_future(z, t)
-                        {
+                        if z == p.zone || !can_report(z, t) || !has_future(z, t) {
                             continue;
                         }
                         push(
@@ -352,9 +360,10 @@ impl WindowDpScheduler {
 
             // Window boundary: prune to the best state per zone (plus the
             // shadow), reproducing the paper's horizon-limited
-            // optimization while keeping long profitable stays alive.
+            // optimization while keeping long profitable stays alive. The
+            // kept nodes go straight into the arena in zone order.
             if t % self.horizon == 0 {
-                let mut keep: Vec<usize> = Vec::new();
+                keep.clear();
                 for z in 0..n_zones {
                     if let Some((i, _)) = next
                         .iter()
@@ -375,14 +384,16 @@ impl WindowDpScheduler {
                 if keep.is_empty() {
                     keep.push(0);
                 }
-                next = keep.into_iter().map(|i| next[i]).collect();
+                nodes.extend(keep.iter().map(|&i| next[i]));
+            } else {
+                nodes.extend_from_slice(&next);
             }
-            layers.push(next);
+            starts.push(nodes.len());
         }
 
         // Final selection: prefer states whose last stay is ADM-consistent
         // at the day boundary (or shadow states).
-        let last = layers.last().expect("layers non-empty");
+        let last = &nodes[starts[t_end - 1]..];
         let valid_final = |n: &Node| -> bool {
             n.shadow || can_exit(n.zone, n.arrival, MINUTES_PER_DAY as u32 - n.arrival)
         };
@@ -412,7 +423,7 @@ impl WindowDpScheduler {
         let mut zones = vec![ZoneId(0); t_end];
         let mut idx = pick;
         for t in (0..t_end).rev() {
-            let n = &layers[t][idx];
+            let n = &nodes[starts[t] + idx];
             zones[t] = n.zone;
             idx = n.parent;
             if t == 0 {
@@ -530,5 +541,98 @@ mod tests {
         let day = &ds.days[10];
         let sched = WindowDpScheduler::default().schedule(&table, &adm, &cap, day);
         assert_eq!(sched.divergence(day), 0);
+    }
+
+    /// FNV-1a over one schedule's zone rows, one byte per slot.
+    fn zone_rows_digest(sched: &AttackSchedule) -> u64 {
+        let bytes: Vec<u8> = sched
+            .zones
+            .iter()
+            .flatten()
+            .map(|z| u8::try_from(z.index()).expect("zone fits a byte"))
+            .collect();
+        shatter_store::fnv1a_bytes(&bytes)
+    }
+
+    /// Pins the exact schedules of House A days 10 and 11 across the
+    /// scheduler's knobs and capability restrictions. The digests were
+    /// computed with the nested per-layer DP and per-(zone, minute)
+    /// trigger bonus that preceded the node arena and sparse bonus, so
+    /// any change to the kernel that moves a single slot fails here.
+    /// The `zones_1_2` and `slots_600_700` rows are the identity schedule
+    /// (the DP finds no stealthy deviation under those restrictions on
+    /// these days), so `zones_1_2_4`, `slots_300_1200` and
+    /// `appliances_0_3_7` pin restricted capabilities that do diverge.
+    #[test]
+    fn schedules_match_golden_digests() {
+        let (ds, adm, table, cap) = setup();
+        let d = WindowDpScheduler::default();
+        let appliances = [0, 3, 7].map(ApplianceId);
+        let cases = [
+            (
+                "default",
+                d,
+                cap.clone(),
+                [0x38d4_6e9d_cff5_69de, 0xf440_122f_8406_8633],
+            ),
+            (
+                "untriggered",
+                WindowDpScheduler {
+                    trigger_aware: false,
+                    ..d
+                },
+                cap.clone(),
+                [0x2960_0898_1ef0_8e8f, 0xc146_8509_247e_20a1],
+            ),
+            (
+                "horizon_5",
+                WindowDpScheduler { horizon: 5, ..d },
+                cap.clone(),
+                [0x4115_ea89_025d_680f, 0xbec4_bd5d_7a29_421f],
+            ),
+            (
+                "horizon_60",
+                WindowDpScheduler { horizon: 60, ..d },
+                cap.clone(),
+                [0x1164_cf5f_0828_f219, 0xa712_8635_cead_e1ae],
+            ),
+            (
+                "zones_1_2",
+                d,
+                cap.clone().with_zone_access([ZoneId(1), ZoneId(2)]),
+                [0x29c1_9149_59be_e911, 0xb6aa_9b8a_4904_92e9],
+            ),
+            (
+                "slots_600_700",
+                d,
+                cap.clone().with_timeslots(600, 700),
+                [0x29c1_9149_59be_e911, 0xb6aa_9b8a_4904_92e9],
+            ),
+            (
+                "zones_1_2_4",
+                d,
+                cap.clone()
+                    .with_zone_access([ZoneId(1), ZoneId(2), ZoneId(4)]),
+                [0x3b33_01bc_aefc_50f6, 0x7ded_721e_659a_a096],
+            ),
+            (
+                "slots_300_1200",
+                d,
+                cap.clone().with_timeslots(300, 1200),
+                [0x9bf6_e13d_6614_1591, 0x46df_a47c_a6da_1b7e],
+            ),
+            (
+                "appliances_0_3_7",
+                d,
+                cap.clone().with_appliance_access(appliances),
+                [0x3530_ff4d_f853_3c39, 0xf440_122f_8406_8633],
+            ),
+        ];
+        for (name, sched, cap, golden) in cases {
+            for (day, want) in [10, 11].into_iter().zip(golden) {
+                let got = zone_rows_digest(&sched.schedule(&table, &adm, &cap, &ds.days[day]));
+                assert_eq!(got, want, "{name} day {day}: {got:#018x} != {want:#018x}");
+            }
+        }
     }
 }
